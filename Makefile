@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck bench bench-smoke ci clean
+.PHONY: all build vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke perfbench-check shellcheck bench bench-smoke ci clean
 
 all: build
 
@@ -62,6 +62,12 @@ sample-smoke:
 front-smoke:
 	scripts/front_smoke.sh
 
+# The benchmark program (perfbench/, BENCHMARK.json) is a nested module,
+# cdf/perfbench, that replaces cdf with this checkout, so the root build
+# and test never compile it. This vets and tests it against the tree.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Lint the smoke scripts. Skips gracefully where shellcheck is not
 # installed (CI's ubuntu runners have it).
 shellcheck:
@@ -88,7 +94,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSpeed$$' -benchtime 1x -benchmem . | tee bench-smoke.txt
 	$(GO) test ./internal/core -run TestSteadyStateAllocs -count 1
 
-ci: vet build test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck
+ci: vet build test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke perfbench-check shellcheck
 
 clean:
 	$(GO) clean ./...

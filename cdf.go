@@ -17,13 +17,9 @@ package cdf
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cdf/internal/core"
@@ -522,42 +518,69 @@ func (e *SweepError) orNil() error {
 	return e
 }
 
-// runSet runs (benchmark, mode) pairs in parallel and collects results.
+// runKey indexes a grid sweep's results by (benchmark, mode).
 type runKey struct {
 	bench string
 	mode  Mode
 }
 
-// runSet runs every (benchmark, mode) pair on a bounded worker pool with
-// failure isolation: one wedged, panicking, or timed-out run is recorded
-// in the returned *SweepError while the rest of the sweep completes. The
+// sweepCase is one run of a sweep: a benchmark under complete options.
+type sweepCase struct {
+	bench string
+	opt   Options
+}
+
+// runSet runs every (benchmark, mode) pair of opt through runCases. The
 // results map holds only the runs that completed; callers must check
 // membership (haveAll) before folding a benchmark into a table.
-//
-// With so.Store set the sweep is additionally crash-safe: cases whose
-// verified results are cached are served without simulating, and every
-// newly simulated case is cached and journaled durably before the pool
-// moves on. Transient failures are retried under so.Retries with capped
-// exponential backoff; deterministic failures fail fast (see runCase).
 func runSet(ctx context.Context, benches []string, modes []Mode, opt Options, so SuiteOptions) (map[runKey]Result, *SweepError) {
-	keys := make([]runKey, 0, len(benches)*len(modes))
+	cases := make([]sweepCase, 0, len(benches)*len(modes))
 	for _, b := range benches {
 		for _, m := range modes {
-			keys = append(keys, runKey{bench: b, mode: m})
+			o := opt
+			o.Mode = m
+			cases = append(cases, sweepCase{b, o})
 		}
 	}
-	results := make(map[runKey]Result, len(keys))
-	var mu sync.Mutex
-	errs := harness.Pool(ctx, so.Jobs, len(keys), func(ctx context.Context, i int) error {
-		o := opt
-		o.Mode = keys[i].mode
-		res, _, err := runCase(ctx, keys[i].bench, o, so)
+	done, sweep := runCases(ctx, cases, so)
+	results := make(map[runKey]Result, len(cases))
+	for i, res := range done {
+		if res != nil {
+			results[runKey{cases[i].bench, cases[i].opt.Mode}] = *res
+		}
+	}
+	return results, sweep
+}
+
+// runCases runs the cases on a bounded worker pool with failure isolation:
+// one wedged, panicking, or timed-out run is recorded in the returned
+// *SweepError while the rest of the sweep completes. results[i] is nil
+// unless cases[i] completed.
+//
+// Every case goes through ExecCase with the InProcess attempt, so with
+// so.Store set the sweep is additionally crash-safe: cached cases are
+// served without simulating, and every newly simulated case is cached and
+// journaled durably before the pool moves on. Transient failures are
+// retried under so.Retries with capped exponential backoff;
+// deterministic failures fail fast.
+func runCases(ctx context.Context, cases []sweepCase, so SuiteOptions) ([]*Result, *SweepError) {
+	p := CasePolicy{Store: so.Store, Retries: so.Retries}
+	if so.RetryBackoff != nil {
+		p.Backoff = *so.RetryBackoff
+	}
+	attempt := InProcess(so.Chaos)
+	results := make([]*Result, len(cases))
+	errs := harness.Pool(ctx, so.Jobs, len(cases), func(ctx context.Context, i int) error {
+		res, fromCache, err := ExecCase(ctx, cases[i].bench, cases[i].opt, "", p, attempt)
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		results[keys[i]] = res
-		mu.Unlock()
+		if !fromCache {
+			// The kill (if armed) fires only after the case is durable:
+			// exactly the window the resume equivalence proof needs.
+			so.Chaos.CaseSimulated()
+		}
+		results[i] = &res
 		return nil
 	})
 	var sweep *SweepError
@@ -566,7 +589,7 @@ func runSet(ctx context.Context, benches []string, modes []Mode, opt Options, so
 			if sweep == nil {
 				sweep = &SweepError{}
 			}
-			sweep.Failures = append(sweep.Failures, RunError{keys[i].bench, keys[i].mode, err})
+			sweep.Failures = append(sweep.Failures, RunError{cases[i].bench, cases[i].opt.Mode, err})
 		}
 	}
 	return results, sweep
@@ -592,132 +615,10 @@ func CaseKey(benchmark string, opt Options) (string, error) {
 
 // RunCached is RunContext backed by a result store: a verified cache hit
 // is returned without simulating (fromCache true); a miss simulates,
-// persists, and journals the result durably. A nil store degrades to
-// plain RunContext.
+// persists, and journals the result durably (see ExecCase). A nil store
+// degrades to plain RunContext.
 func RunCached(ctx context.Context, store *sweepstore.Store, benchmark string, opt Options) (res Result, fromCache bool, err error) {
-	return runCase(ctx, benchmark, opt, SuiteOptions{Store: store})
-}
-
-// runCase executes one case under the sweep's durability and retry
-// policy: serve a verified cache hit, else simulate with per-attempt
-// chaos injection, retrying transient failures (sweepstore.Retryable)
-// under the so.Retries budget with backoff, failing fast on
-// deterministic ones. Completed cases are persisted and journaled before
-// returning; terminal failures (other than cancellation) are journaled.
-func runCase(ctx context.Context, bench string, opt Options, so SuiteOptions) (Result, bool, error) {
-	var key string
-	if so.Store != nil {
-		k, err := CaseKey(bench, opt)
-		if err != nil {
-			return Result{}, false, err
-		}
-		key = k
-		if res, ok := cachedResult(so.Store, key, bench, opt.Mode); ok {
-			return res, true, nil
-		}
-	}
-	// caseID keys the deterministic chaos and jitter draws; the cache key
-	// when durable, else the stable human name.
-	caseID := key
-	if caseID == "" {
-		caseID = bench + "/" + opt.Mode.String()
-	}
-	retries := so.Retries
-	if retries < 0 {
-		retries = 0
-	}
-	bo := sweepstore.Backoff{Seed: opt.Seed}
-	if so.RetryBackoff != nil {
-		bo = *so.RetryBackoff
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := runAttempt(ctx, bench, opt, so.Chaos, caseID, attempt)
-		if err == nil {
-			if so.Store != nil {
-				if perr := persistResult(so.Store, key, res, attempt); perr != nil {
-					// The run succeeded but the durability contract did
-					// not: surface it rather than silently losing
-					// crash-safety the caller asked for.
-					return Result{}, false, fmt.Errorf("cdf: %s/%s: result computed but not persisted: %w",
-						bench, opt.Mode, perr)
-				}
-			}
-			// The kill (if armed) fires only after the case is durable:
-			// exactly the window the resume equivalence proof needs.
-			so.Chaos.CaseSimulated()
-			return res, false, nil
-		}
-		if !sweepstore.Retryable(err) || attempt >= retries {
-			if so.Store != nil && !errors.Is(err, harness.ErrCanceled) && !errors.Is(err, context.Canceled) {
-				// Best-effort terminal-failure record; the failure itself
-				// is already being reported through the SweepError.
-				_ = so.Store.Fail(sweepstore.Record{Key: key, Bench: bench, Mode: opt.Mode.String(),
-					Status: sweepstore.StatusFailed, Reason: failureReason(err), Attempts: attempt + 1})
-			}
-			return Result{}, false, err
-		}
-		if so.Store != nil {
-			so.Store.NoteRetry()
-		}
-		if serr := bo.Sleep(ctx, caseID, attempt); serr != nil {
-			return Result{}, false, err // canceled mid-backoff: report the run's own failure
-		}
-	}
-}
-
-// runAttempt is one dispatch of a case: chaos pre-dispatch injection
-// (delay, panic) followed by the hardened run. The recover absorbs
-// injected — and any other in-process — panics into the same *SimError
-// shape a simulator panic produces, so the retry loop treats worker
-// panics uniformly.
-func runAttempt(ctx context.Context, bench string, opt Options, chaos *harness.Chaos, caseID string, attempt int) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &harness.SimError{Reason: harness.ReasonPanic, PanicValue: r,
-				Stack: debug.Stack(), Seed: opt.Seed}
-		}
-	}()
-	chaos.BeforeCase(caseID, attempt)
-	return RunContext(ctx, bench, opt)
-}
-
-// cachedResult fetches and decodes a verified cache entry. Beyond the
-// store's integrity checks, the decoded payload must actually be the
-// requested case's completed result — a store can lose work, it must
-// never substitute it.
-func cachedResult(store *sweepstore.Store, key, bench string, mode Mode) (Result, bool) {
-	payload, ok := store.Get(key)
-	if !ok {
-		return Result{}, false
-	}
-	var res Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return Result{}, false
-	}
-	if res.Benchmark != bench || res.Mode != mode || res.StopReason != StopCompleted {
-		return Result{}, false
-	}
-	return res, true
-}
-
-// persistResult caches and journals one completed case.
-func persistResult(store *sweepstore.Store, key string, res Result, attempt int) error {
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	return store.Put(key, payload, sweepstore.Record{Bench: res.Benchmark, Mode: res.Mode.String(),
-		Status: sweepstore.StatusDone, Attempts: attempt + 1})
-}
-
-// failureReason maps a case's terminal error to the journal's failure
-// class.
-func failureReason(err error) string {
-	var se *harness.SimError
-	if errors.As(err, &se) {
-		return se.Reason
-	}
-	return "error"
+	return ExecCase(ctx, benchmark, opt, "", CasePolicy{Store: store}, InProcess(nil))
 }
 
 // haveAll reports whether every mode's result for bench completed, i.e.

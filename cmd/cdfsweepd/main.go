@@ -54,7 +54,7 @@ func main() {
 		retries    = flag.Int("retries", 2, "per-case retry budget for transient failures")
 		hbTimeout  = flag.Duration("hb-timeout", sweepd.DefaultHeartbeatTimeout, "kill a worker silent for this long")
 		maxQueue   = flag.Int("max-queue", sweepd.DefaultMaxQueue, "admission queue bound; beyond it submissions get 429")
-		breakerN   = flag.Int("breaker", sweepd.DefaultBreakerThreshold, "terminal failures before a case is quarantined")
+		breakerN   = flag.Int("breaker", sweepstore.DefaultBreakerThreshold, "terminal failures before a case is quarantined")
 		drainGrace = flag.Duration("drain-grace", 2*time.Minute, "how long a SIGTERM drain waits for in-flight cases")
 	)
 	flag.Parse()
@@ -83,7 +83,7 @@ func main() {
 		HeartbeatTimeout: *hbTimeout,
 		Retries:          *retries,
 		Store:            store,
-		Breaker:          sweepd.NewBreaker(*breakerN),
+		Breaker:          sweepstore.NewBreaker(*breakerN),
 		Logf:             logger.Printf,
 	})
 	if err != nil {

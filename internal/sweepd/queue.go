@@ -81,14 +81,14 @@ func (sp *JobSpec) normalize() error {
 			return fmt.Errorf("sweepd: seed 0 is reserved (it means \"randomize\" elsewhere); use an explicit seed")
 		}
 	}
-	if !sp.Frontend && (sp.PerfectL1I || sp.FDIP || sp.ShadowBTB) {
-		return fmt.Errorf("sweepd: perfect_l1i/fdip/shadow_btb require frontend")
-	}
-	if sp.FDIP && sp.PerfectL1I {
-		return fmt.Errorf("sweepd: fdip is meaningless with perfect_l1i")
-	}
 	if sp.TimeoutSec < 0 || sp.DeadlineSec < 0 {
 		return fmt.Errorf("sweepd: negative time bound")
+	}
+	// Every case shares these options up to mode and seed, both checked
+	// above, so one Validate call admits exactly the specs whose cases can
+	// run.
+	if err := sp.options(cdf.ModeBaseline, sp.Seeds[0]).Validate(); err != nil {
+		return fmt.Errorf("sweepd: %w", err)
 	}
 	return nil
 }
@@ -122,21 +122,26 @@ func (sp JobSpec) cases() []Case {
 		for _, m := range sp.Modes {
 			mode, _ := parseMode(m) // validated by normalize
 			for _, seed := range sp.Seeds {
-				out = append(out, Case{Bench: b, Opt: cdf.Options{
-					Mode:       mode,
-					MaxUops:    sp.MaxUops,
-					WarmupUops: sp.WarmupUops,
-					Seed:       seed,
-					Timeout:    time.Duration(sp.TimeoutSec * float64(time.Second)),
-					Frontend:   sp.Frontend,
-					PerfectL1I: sp.PerfectL1I,
-					FDIP:       sp.FDIP,
-					ShadowBTB:  sp.ShadowBTB,
-				}})
+				out = append(out, Case{Bench: b, Opt: sp.options(mode, seed)})
 			}
 		}
 	}
 	return out
+}
+
+// options builds one case's run options.
+func (sp JobSpec) options(mode cdf.Mode, seed uint64) cdf.Options {
+	return cdf.Options{
+		Mode:       mode,
+		MaxUops:    sp.MaxUops,
+		WarmupUops: sp.WarmupUops,
+		Seed:       seed,
+		Timeout:    time.Duration(sp.TimeoutSec * float64(time.Second)),
+		Frontend:   sp.Frontend,
+		PerfectL1I: sp.PerfectL1I,
+		FDIP:       sp.FDIP,
+		ShadowBTB:  sp.ShadowBTB,
+	}
 }
 
 // Row is one case's outcome, streamed to clients as it completes.
@@ -333,7 +338,7 @@ func recordJobDone(j *Job) sweepstore.Record {
 // records so /jobs/{id}/results keeps working across restarts. Failure
 // records also seed the circuit breaker: a case that kept failing before
 // the crash stays quarantined after it.
-func recoverJobs(store *sweepstore.Store, breaker *Breaker) (jobs []*Job, nextID int64, err error) {
+func recoverJobs(store *sweepstore.Store, breaker *sweepstore.Breaker) (jobs []*Job, nextID int64, err error) {
 	type jstate struct {
 		job      *Job
 		terminal string
@@ -396,19 +401,11 @@ func recoverJobs(store *sweepstore.Store, breaker *Breaker) (jobs []*Job, nextID
 func rebuildRows(store *sweepstore.Store, j *Job) {
 	for i, c := range j.Cases {
 		row := Row{Bench: c.Bench, Mode: c.Opt.Mode.String(), Seed: c.Opt.Seed}
-		key, err := cdf.CaseKey(c.Bench, c.Opt)
-		if err == nil {
-			if payload, ok := store.Get(key); ok {
-				var res cdf.Result
-				if json.Unmarshal(payload, &res) == nil && res.Benchmark == c.Bench &&
-					res.Mode == c.Opt.Mode && res.StopReason == cdf.StopCompleted {
-					row.Status = "done"
-					row.FromCache = true
-					row.Result = &res
-				}
-			}
-		}
-		if row.Status == "" {
+		if res, ok := cdf.Cached(store, c.Bench, c.Opt); ok {
+			row.Status = "done"
+			row.FromCache = true
+			row.Result = &res
+		} else {
 			row.Status = "failed"
 			row.Error = "failed before the last restart (see journal)"
 			j.failures++

@@ -72,7 +72,7 @@ func newTestSupervisor(t *testing.T, store *sweepstore.Store, chaosSpec string, 
 		Retries:          retries,
 		Backoff:          sweepstore.Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Seed: 1},
 		Store:            store,
-		Breaker:          NewBreaker(breakerN),
+		Breaker:          sweepstore.NewBreaker(breakerN),
 		Logf:             t.Logf,
 	})
 	if err != nil {
@@ -346,7 +346,7 @@ func TestBreakerQuarantine(t *testing.T) {
 	}
 	store2 := newTestStore(t, dir)
 	defer store2.Close()
-	breaker2 := NewBreaker(2)
+	breaker2 := sweepstore.NewBreaker(2)
 	if _, _, err := recoverJobs(store2, breaker2); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -469,7 +469,9 @@ func TestLoadShedding(t *testing.T) {
 	}
 
 	// Bad specs are 400, not queued.
-	for _, bad := range []string{`{"modes":["warp"]}`, `{"benchmarks":["nope"]}`, `not json`} {
+	for _, bad := range []string{`{"modes":["warp"]}`, `{"benchmarks":["nope"]}`, `not json`,
+		// Specs every one of whose cases would fail cdf.Options.Validate.
+		`{"max_uops":5000,"warmup_uops":9000}`, `{"warmup_uops":200000}`} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatalf("bad spec: %v", err)

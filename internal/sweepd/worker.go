@@ -9,13 +9,14 @@
 //
 //   - worker.go — the stdin/stdout line protocol a worker process speaks
 //     (`cdfsim -worker`): one JSON request per case, heartbeat lines while
-//     simulating, one result or fail line per case.
-//   - supervisor.go — spawns and monitors workers, detects death and
-//     heartbeat loss, classifies failures via sweepstore.Retryable, and
-//     retries with capped-exponential backoff or quarantines via the
-//     circuit breaker; completed cases are persisted through the same
-//     content-addressed sweepstore cache the CLIs use.
-//   - breaker.go — the per-case circuit breaker.
+//     simulating, one result or fail line per case. The case itself runs
+//     in cdf.InProcess, the in-process sweep's attempt body.
+//   - supervisor.go — spawns and monitors workers and detects death and
+//     heartbeat loss. Its attempt, one dispatch to one worker, runs under
+//     cdf.ExecCase, the case executor the in-process sweep uses: cache
+//     hits, sweepstore.Retryable classification, capped-exponential
+//     backoff, the sweepstore circuit breaker, and persisting completed
+//     cases in the content-addressed cache the CLIs use.
 //   - queue.go — jobs: specs, case expansion, journal-backed recovery.
 //   - server.go — the HTTP API, admission control (429 load shedding),
 //     result streaming, and SIGTERM drain.
@@ -26,7 +27,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -34,6 +34,7 @@ import (
 
 	"cdf"
 	"cdf/internal/harness"
+	"cdf/internal/sweepstore"
 )
 
 // Protocol message shapes. Every message is one JSON object per line.
@@ -146,29 +147,22 @@ func serveCase(w *bufio.Writer, req request, chaos *harness.Chaos, hbEvery time.
 	}
 }
 
-// runOne executes the case itself, converting every failure — injected
-// chaos panics included — into a "fail" response carrying the harness
-// failure class, so the supervisor can classify it with
+// runOne executes the case itself with cdf.InProcess — the in-process
+// sweep's attempt body — after the chaos slow-worker delay, and maps a
+// failure, recovered panics included, onto a "fail" response carrying the
+// harness failure class, so the supervisor classifies it with
 // sweepstore.Retryable exactly as the in-process sweep path does.
-func runOne(req request, chaos *harness.Chaos) (resp response) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp = response{Type: "fail", ID: req.ID, Reason: harness.ReasonPanic,
-				Msg: fmt.Sprint(r)}
-		}
-	}()
+func runOne(req request, chaos *harness.Chaos) response {
 	if d, ok := chaos.SlowWorker(req.CaseID, req.Attempt); ok {
 		time.Sleep(d) // heartbeats keep flowing: slow, not wedged
 	}
-	chaos.BeforeCase(req.CaseID, req.Attempt)
-	res, err := cdf.RunContext(context.Background(), req.Bench, req.Opt)
+	res, err := cdf.InProcess(chaos)(context.Background(), req.Bench, req.Opt, req.CaseID, req.Attempt)
 	if err != nil {
-		reason := "error"
-		var se *harness.SimError
-		if errors.As(err, &se) {
-			reason = se.Reason
+		msg := err.Error()
+		if se, ok := err.(*harness.SimError); ok && se.PanicValue != nil {
+			msg = fmt.Sprint(se.PanicValue) // the supervisor re-adds the "simulation panic" header
 		}
-		return response{Type: "fail", ID: req.ID, Reason: reason, Msg: err.Error()}
+		return response{Type: "fail", ID: req.ID, Reason: sweepstore.FailureReason(err), Msg: msg}
 	}
 	return response{Type: "result", ID: req.ID, Result: &res}
 }

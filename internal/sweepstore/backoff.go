@@ -139,3 +139,13 @@ func Retryable(err error) bool {
 	}
 	return false
 }
+
+// FailureReason maps a case's terminal error to the journal's failure
+// class: the harness reason of a *harness.SimError, else "error".
+func FailureReason(err error) string {
+	var se *harness.SimError
+	if errors.As(err, &se) {
+		return se.Reason
+	}
+	return "error"
+}

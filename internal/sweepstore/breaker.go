@@ -1,10 +1,17 @@
-package sweepd
+package sweepstore
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // DefaultBreakerThreshold is how many terminal failures of the same case
 // open its circuit when the server does not override it.
 const DefaultBreakerThreshold = 3
+
+// ErrQuarantined marks a case rejected without dispatch because its
+// circuit breaker is open after repeated terminal failures.
+var ErrQuarantined = errors.New("sweepstore: case quarantined (circuit breaker open after repeated failures)")
 
 // Breaker is the per-case circuit breaker: a case that keeps failing
 // terminally — deterministic failures like an oracle divergence, or a

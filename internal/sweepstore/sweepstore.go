@@ -3,10 +3,11 @@
 // sweep progress (one checksummed record per completed or failed case,
 // recoverable after a kill at any byte boundary), a content-addressed
 // result cache keyed by a stable hash of (case, machine configuration,
-// code version) with integrity verification on read, and the capped
-// exponential backoff policy that drives retry of transient failures.
+// code version) with integrity verification on read, the capped
+// exponential backoff policy that drives retry of transient failures, and
+// the per-case circuit breaker.
 //
-// The contract with callers (cdf.runSet, the CLIs):
+// The contract with callers (cdf.ExecCase, the CLIs):
 //
 //   - Every completed case is written to the cache and journaled *before*
 //     the sweep moves on, so a SIGKILL at any point loses at most the
