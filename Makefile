@@ -23,9 +23,11 @@ race:
 
 # A brief native-fuzz run of the core: random programs on random machine
 # modes must complete under the differential oracle and the watchdog with
-# paranoid invariant checks.
+# paranoid invariant checks. Then the sweep service's job-spec decoding:
+# any body it accepts must expand only to valid, runnable cases.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzCore -fuzz FuzzCore -fuzztime 10s
+	$(GO) test ./internal/sweepd -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime 5s
 
 # A short full-suite sweep with the lockstep differential oracle checking
 # every retired uop against the functional emulator: zero divergences is
@@ -79,9 +81,12 @@ shellcheck:
 
 # Simulator-throughput benchmarks (DESIGN.md §9): the full mode x kernel
 # matrix, reporting uops/s, cycles/s, and allocations. To compare two
-# revisions, save each run and feed the pair to benchstat:
-#   make bench > old.txt ... make bench > new.txt
-#   benchstat old.txt new.txt
+# revisions end to end, record each with the benchmark program and feed
+# the pair to its comparator, which refuses cross-host pairs (see
+# perfbench/README.md, "Provenance and comparing two commits"):
+#   bash perfbench/run.sh --workload fig13-full --seed 3 --seconds 25 --trace 0 --out parent.jsonl
+#   bash perfbench/run.sh ... --out change.jsonl   # in the other checkout
+#   .bench_build/bin/perfbench compare -bench BENCHMARK.json parent.jsonl change.jsonl
 # BenchmarkSimSpeedSlow is the same matrix on the -slowpath reference loop.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSpeed$$' -benchmem -count 1 .

@@ -35,6 +35,10 @@ import (
 // Mode selects the simulated machine.
 type Mode = core.Mode
 
+// ParseMode maps a machine name ("baseline", "cdf", "pre", "hybrid") to
+// its Mode; it is the inverse of Mode.String.
+func ParseMode(name string) (Mode, error) { return core.ParseMode(name) }
+
 // StopReason classifies how a run ended (see core.StopReason). Results
 // whose StopReason is not StopCompleted carry truncated statistics; Run
 // returns an error for them, and suite sweeps exclude them from geomeans.
@@ -200,9 +204,11 @@ func (o Options) Validate() error {
 	return o.Sampling.validate(o.effectiveMaxUops(), o.WarmupUops)
 }
 
-// coreConfig materializes a core.Config from Options (which must have
-// passed Validate).
-func (o Options) coreConfig() core.Config {
+// CoreConfig materializes the core.Config the options describe (they must
+// have passed Validate). It is the only Options → core.Config mapping:
+// Run, the sampled runner, the result cache key and every CLI path that
+// builds a core itself go through it.
+func (o Options) CoreConfig() core.Config {
 	cfg := core.Default()
 	cfg.Mode = o.Mode
 	cfg.MaxRetired = o.effectiveMaxUops()
@@ -359,7 +365,7 @@ func RunContext(ctx context.Context, benchmark string, opt Options) (Result, err
 		return runSampled(ctx, benchmark, w, opt)
 	}
 	prg, mem := w.Build()
-	cfg := opt.coreConfig()
+	cfg := opt.CoreConfig()
 	c, err := core.New(cfg, prg, mem)
 	if err != nil {
 		return Result{}, fmt.Errorf("cdf: %s/%s: %w", benchmark, opt.Mode, err)
@@ -436,12 +442,11 @@ func energyParams(cfg core.Config) energy.Params {
 		p.FIFOBytes = cfg.CDF.DBQSize*4 + cfg.CDF.CMQSize*2
 	}
 	if cfg.Front.Enabled {
-		p.FrontEnabled = true
+		p.FDIP = cfg.Front.FDIP
 		p.FTQBytes = cfg.Front.FTQSize * 8 // one line address per entry
-		if cfg.Front.ShadowBTB {
-			// Tag + target per entry, like the main BTB.
-			p.ShadowBTBBytes = cfg.Front.ShadowEntries * 16
-		}
+		p.ShadowBTB = cfg.Front.ShadowBTB
+		// Tag + target per entry, like the main BTB.
+		p.ShadowBTBBytes = cfg.Front.ShadowEntries * 16
 	}
 	return p
 }
@@ -609,7 +614,7 @@ func CaseKey(benchmark string, opt Options) (string, error) {
 		Oracle   bool        `json:"oracle"`
 		Sampling Sampling    `json:"sampling"`
 		Config   core.Config `json:"config"`
-	}{benchmark, opt.Oracle, opt.Sampling.effective(), opt.coreConfig()}
+	}{benchmark, opt.Oracle, opt.Sampling.effective(), opt.CoreConfig()}
 	return sweepstore.Key(sweepstore.CodeVersion(), desc)
 }
 

@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -50,11 +51,10 @@ import (
 	"time"
 
 	"cdf"
+	"cdf/internal/cliflags"
 	"cdf/internal/harness"
-	"cdf/internal/profiling"
 	"cdf/internal/report"
 	"cdf/internal/sweepstore"
-	"cdf/internal/units"
 )
 
 // geomean adapts cdf.Geomean for table cells: a degenerate aggregate
@@ -93,48 +93,42 @@ var experiments = []struct {
 // including failures and SIGINT. os.Exit anywhere inside run would skip
 // exactly the flush that makes an interrupted sweep resumable.
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cdfexperiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment name or 'all' (see -list)")
-		seed     = flag.Uint64("seed", 0, "run seed: wrong-path models and failure reports (0 = randomized)")
-		format   = flag.String("format", "text", "output format: text | markdown | csv")
-		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 0, "wall-clock limit per simulation run (0 = none)")
-		paranoid = flag.Bool("paranoid", false, "run invariant checks inside every simulation (~2x slower)")
-		oracle   = flag.Bool("oracle", false, "check every retired uop against the functional emulator in lockstep")
-		list     = flag.Bool("list", false, "list experiments and exit")
+		exp    = fs.String("exp", "all", "experiment name or 'all' (see -list)")
+		format = fs.String("format", "text", "output format: text | markdown | csv")
+		jobs   = fs.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+		list   = fs.Bool("list", false, "list experiments and exit")
 
-		cacheDir  = flag.String("cache-dir", "", "durable sweep state: fsync'd journal + content-addressed result cache")
-		resume    = flag.Bool("resume", false, "resume the sweep in -cache-dir: adopt its seed, serve completed cases from cache")
-		retries   = flag.Int("retries", 0, "per-case retry budget for transient failures (timeout, watchdog, panic)")
-		chaosSpec = flag.String("chaos", "", "deterministic fault injection, e.g. seed=1,panic=0.1,delay=2ms,corrupt=0.05,killafter=4")
-
-		slowPath   = flag.Bool("slowpath", false, "run the reference cycle loop (no scoreboard scheduler or idle skip)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-		execTrace  = flag.String("exectrace", "", "write a runtime execution trace to this file (go tool trace)")
+		cacheDir  = fs.String("cache-dir", "", "durable sweep state: fsync'd journal + content-addressed result cache")
+		resume    = fs.Bool("resume", false, "resume the sweep in -cache-dir: adopt its seed, serve completed cases from cache")
+		retries   = fs.Int("retries", 0, "per-case retry budget for transient failures (timeout, watchdog, panic)")
+		chaosSpec = fs.String("chaos", "", "deterministic fault injection, e.g. seed=1,panic=0.1,delay=2ms,corrupt=0.05,killafter=4")
 	)
-	var uops, warmup, sampIvl, sampMeas, sampW units.Uops
-	flag.Var(&uops, "uops", "instructions per run, e.g. 200000, 200k or 5M (0 = default)")
-	flag.Var(&warmup, "warmup", "warm-up instructions excluded from statistics (e.g. 200k)")
-	flag.Var(&sampIvl, "sample-interval", "sampled simulation: sampling period in uops, e.g. 50k (0 = full runs)")
-	flag.Var(&sampMeas, "sample-measure", "sampled simulation: cycle-accurate measured uops per interval (0 = interval/16)")
-	flag.Var(&sampW, "sample-warmup", "sampled simulation: detached cycle-accurate warmup uops per interval (0 = measure/2)")
-	flag.Parse()
+	shared := cliflags.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	opt := shared.Options()
 
-	profStop, err := profiling.Start(*cpuProfile, *memProfile, *execTrace)
+	profStop, err := shared.StartProfiling()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
+		fmt.Fprintln(stderr, "cdfexperiments:", err)
 		return 1
 	}
 	defer profStop()
 
 	if *list {
 		for _, e := range experiments {
-			fmt.Printf("%-10s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-10s %s\n", e.name, e.desc)
 		}
 		return 0
 	}
@@ -143,7 +137,7 @@ func run() int {
 	if *chaosSpec != "" {
 		chaos, err = harness.ParseChaos(*chaosSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
+			fmt.Fprintln(stderr, "cdfexperiments:", err)
 			return 2
 		}
 	}
@@ -153,20 +147,20 @@ func run() int {
 	// same cache entries as the interrupted one.
 	var store *sweepstore.Store
 	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "cdfexperiments: -resume requires -cache-dir")
+		fmt.Fprintln(stderr, "cdfexperiments: -resume requires -cache-dir")
 		return 2
 	}
 	if *cacheDir != "" {
 		store, err = sweepstore.Open(*cacheDir, *resume)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
+			fmt.Fprintln(stderr, "cdfexperiments:", err)
 			return 1
 		}
 		// The deferred Close fsyncs the journal on every exit path —
 		// success, failure, or SIGINT — so the sweep is always resumable.
 		defer func() {
 			if cerr := store.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "cdfexperiments:", cerr)
+				fmt.Fprintln(stderr, "cdfexperiments:", cerr)
 			}
 		}()
 		if meta, ok := store.Meta(); ok {
@@ -178,24 +172,24 @@ func run() int {
 					failedCases++
 				}
 			}
-			fmt.Fprintf(os.Stderr, "cdfexperiments: resuming %s: seed %d, %d case(s) journaled done, %d failed\n",
+			fmt.Fprintf(stderr, "cdfexperiments: resuming %s: seed %d, %d case(s) journaled done, %d failed\n",
 				*cacheDir, meta.Seed, done, failedCases)
 			switch {
-			case *seed == 0:
-				*seed = meta.Seed
-			case *seed != meta.Seed:
-				fmt.Fprintf(os.Stderr, "cdfexperiments: -seed %d conflicts with the journal's seed %d; drop -seed or start fresh without -resume\n",
-					*seed, meta.Seed)
+			case opt.Seed == 0:
+				opt.Seed = meta.Seed
+			case opt.Seed != meta.Seed:
+				fmt.Fprintf(stderr, "cdfexperiments: -seed %d conflicts with the journal's seed %d; drop -seed or start fresh without -resume\n",
+					opt.Seed, meta.Seed)
 				return 2
 			}
-			if uint64(uops) != meta.MaxUops || uint64(warmup) != meta.WarmupUops {
-				fmt.Fprintf(os.Stderr, "cdfexperiments: -uops/-warmup (%d/%d) conflict with the journal's (%d/%d); match them or start fresh without -resume\n",
-					uops, warmup, meta.MaxUops, meta.WarmupUops)
+			if opt.MaxUops != meta.MaxUops || opt.WarmupUops != meta.WarmupUops {
+				fmt.Fprintf(stderr, "cdfexperiments: -uops/-warmup (%d/%d) conflict with the journal's (%d/%d); match them or start fresh without -resume\n",
+					opt.MaxUops, opt.WarmupUops, meta.MaxUops, meta.WarmupUops)
 				return 2
 			}
-			if uint64(sampIvl) != meta.SampleInterval || uint64(sampMeas) != meta.SampleMeasure || uint64(sampW) != meta.SampleWarmup {
-				fmt.Fprintf(os.Stderr, "cdfexperiments: -sample-interval/-sample-measure/-sample-warmup (%d/%d/%d) conflict with the journal's (%d/%d/%d); match them or start fresh without -resume\n",
-					sampIvl, sampMeas, sampW, meta.SampleInterval, meta.SampleMeasure, meta.SampleWarmup)
+			if sp := opt.Sampling; sp.Interval != meta.SampleInterval || sp.Measure != meta.SampleMeasure || sp.Warmup != meta.SampleWarmup {
+				fmt.Fprintf(stderr, "cdfexperiments: -sample-interval/-sample-measure/-sample-warmup (%d/%d/%d) conflict with the journal's (%d/%d/%d); match them or start fresh without -resume\n",
+					sp.Interval, sp.Measure, sp.Warmup, meta.SampleInterval, meta.SampleMeasure, meta.SampleWarmup)
 				return 2
 			}
 		}
@@ -203,15 +197,15 @@ func run() int {
 
 	// The seed is always printed so any failed run can be replayed exactly;
 	// 0 asks for a fresh one.
-	if *seed == 0 {
-		*seed = uint64(time.Now().UnixNano())
+	if opt.Seed == 0 {
+		opt.Seed = uint64(time.Now().UnixNano())
 	}
-	fmt.Fprintf(os.Stderr, "cdfexperiments: seed %d\n", *seed)
+	fmt.Fprintf(stderr, "cdfexperiments: seed %d\n", opt.Seed)
 	if store != nil {
-		if err := store.SetMeta(sweepstore.Record{Seed: *seed, MaxUops: uint64(uops), WarmupUops: uint64(warmup),
-			SampleInterval: uint64(sampIvl), SampleMeasure: uint64(sampMeas), SampleWarmup: uint64(sampW),
+		if err := store.SetMeta(sweepstore.Record{Seed: opt.Seed, MaxUops: opt.MaxUops, WarmupUops: opt.WarmupUops,
+			SampleInterval: opt.Sampling.Interval, SampleMeasure: opt.Sampling.Measure, SampleWarmup: opt.Sampling.Warmup,
 			Version: sweepstore.CodeVersion()}); err != nil {
-			fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
+			fmt.Fprintln(stderr, "cdfexperiments:", err)
 			return 1
 		}
 	}
@@ -222,23 +216,19 @@ func run() int {
 	defer stop()
 
 	o := cdf.SuiteOptions{
-		MaxUops:    uint64(uops),
-		WarmupUops: uint64(warmup),
-		Seed:       *seed,
-		Sampling: cdf.Sampling{
-			Interval: uint64(sampIvl),
-			Measure:  uint64(sampMeas),
-			Warmup:   uint64(sampW),
-		},
-		Jobs:     *jobs,
-		Timeout:  *timeout,
-		Paranoid: *paranoid,
-		Oracle:   *oracle,
-		SlowPath: *slowPath,
-		Context:  ctx,
-		Store:    store,
-		Retries:  *retries,
-		Chaos:    chaos,
+		MaxUops:    opt.MaxUops,
+		WarmupUops: opt.WarmupUops,
+		Seed:       opt.Seed,
+		Sampling:   opt.Sampling,
+		Jobs:       *jobs,
+		Timeout:    opt.Timeout,
+		Paranoid:   opt.Paranoid,
+		Oracle:     opt.Oracle,
+		SlowPath:   opt.SlowPath,
+		Context:    ctx,
+		Store:      store,
+		Retries:    *retries,
+		Chaos:      chaos,
 	}
 	if store != nil && chaos != nil {
 		store.CorruptPut = chaos.CorruptPut
@@ -255,14 +245,14 @@ func run() int {
 		for _, t := range tables {
 			out, rerr := t.Render(*format)
 			if rerr != nil {
-				fmt.Fprintln(os.Stderr, "cdfexperiments:", rerr)
+				fmt.Fprintln(stderr, "cdfexperiments:", rerr)
 				return 2
 			}
-			fmt.Println(out)
+			fmt.Fprintln(stdout, out)
 		}
 		if err != nil {
 			failed = true
-			reportFailure(e.name, err)
+			reportFailure(stderr, e.name, err)
 		}
 	}
 	if !ran {
@@ -270,13 +260,13 @@ func run() int {
 		for _, e := range experiments {
 			names = append(names, e.name)
 		}
-		fmt.Fprintf(os.Stderr, "cdfexperiments: unknown experiment %q (want %s|all)\n",
+		fmt.Fprintf(stderr, "cdfexperiments: unknown experiment %q (want %s|all)\n",
 			*exp, strings.Join(names, "|"))
 		return 2
 	}
 	if store != nil {
 		st := store.Stats()
-		fmt.Fprintf(os.Stderr, "cdfexperiments: cache: %d served, %d simulated, %d written, %d retried\n",
+		fmt.Fprintf(stderr, "cdfexperiments: cache: %d served, %d simulated, %d written, %d retried\n",
 			st.Hits, st.Misses, st.Puts, st.Retries)
 	}
 	if failed {
@@ -287,19 +277,19 @@ func run() int {
 
 // reportFailure prints an experiment's failed runs to stderr, including
 // the machine-state snapshot when the failure carries one.
-func reportFailure(exp string, err error) {
+func reportFailure(w io.Writer, exp string, err error) {
 	var sweep *cdf.SweepError
 	if !errors.As(err, &sweep) {
-		fmt.Fprintf(os.Stderr, "cdfexperiments: %s: %v\n", exp, err)
+		fmt.Fprintf(w, "cdfexperiments: %s: %v\n", exp, err)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "cdfexperiments: %s: %d run(s) failed (excluded from the tables above)\n",
+	fmt.Fprintf(w, "cdfexperiments: %s: %d run(s) failed (excluded from the tables above)\n",
 		exp, len(sweep.Failures))
 	for _, f := range sweep.Failures {
-		fmt.Fprintf(os.Stderr, "  %s/%s: %v\n", f.Benchmark, f.Mode, f.Err)
+		fmt.Fprintf(w, "  %s/%s: %v\n", f.Benchmark, f.Mode, f.Err)
 		var sim *harness.SimError
 		if errors.As(f.Err, &sim) && sim.HasSnap {
-			fmt.Fprintln(os.Stderr, indent(sim.Snap.String(), "    "))
+			fmt.Fprintln(w, indent(sim.Snap.String(), "    "))
 		}
 	}
 }

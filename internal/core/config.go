@@ -47,6 +47,16 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// ParseMode is the inverse of Mode.String, and the only mode-name parser.
+func ParseMode(name string) (Mode, error) {
+	for m := ModeBaseline; m <= ModeHybrid; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want baseline|cdf|pre|hybrid)", name)
+}
+
 // Config describes the simulated machine (Table 1 defaults via Default).
 type Config struct {
 	Mode Mode

@@ -269,3 +269,19 @@ func TestCDFExitDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParseModeRoundTrip pins ParseMode as the exact inverse of
+// Mode.String over every mode, and its rejection of unknown names.
+func TestParseModeRoundTrip(t *testing.T) {
+	for m := ModeBaseline; m <= ModeHybrid; m++ {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, bad := range []string{"", "warp", "CDF", "mode(4)", Mode(99).String()} {
+		if m, err := ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", bad, m)
+		}
+	}
+}

@@ -38,10 +38,13 @@ type Params struct {
 	FillBufBytes int
 	FIFOBytes    int // DBQ + CMQ
 
-	// Instruction-supply subsystem (DESIGN.md §13): the FTQ and the shadow
-	// BTB added when the timed frontend is enabled.
-	FrontEnabled   bool
+	// Instruction-supply subsystem (DESIGN.md §13). The timed L1I adds no
+	// structure of its own: FDIP adds the FTQ and its walker, shadow-branch
+	// decoding adds the predecoders and the shadow BTB, and each is charged
+	// only when it is built.
+	FDIP           bool
 	FTQBytes       int
+	ShadowBTB      bool
 	ShadowBTBBytes int
 
 	// FreqGHz converts leakage power into per-cycle energy.
@@ -123,13 +126,15 @@ func cdfArea(p Params) float64 {
 }
 
 func frontArea(p Params) float64 {
-	if !p.FrontEnabled {
-		return 0
-	}
 	a := 0.0
-	a += float64(p.FTQBytes) / 1024.0 * 0.5 // single-ported FIFO
-	a += float64(p.ShadowBTBBytes) / 1024.0
-	a += 2.0 // walker next-line logic, shadow predecoders
+	if p.FDIP {
+		a += float64(p.FTQBytes) / 1024.0 * 0.5 // single-ported FIFO
+		a += 1.0                                // walker next-line logic
+	}
+	if p.ShadowBTB {
+		a += float64(p.ShadowBTBBytes) / 1024.0
+		a += 1.0 // shadow predecoders
+	}
 	return a
 }
 
@@ -180,14 +185,17 @@ func Compute(p Params, st *stats.Stats) Report {
 			Item{"runahead", (pjRename + pjRS) * float64(st.RunaheadUops)},
 		)
 	}
-	if p.FrontEnabled {
+	if p.FDIP {
 		dyn = append(dyn,
-			// FTQ push+pop per prefetch candidate, the prefetch's own L1I
-			// fill access, and shadow-BTB traffic (inserts + backup probes).
+			// FTQ push+pop per prefetch candidate and the prefetch's own
+			// L1I fill access.
 			Item{"front-ftq", pjFIFO * float64(st.L1IPrefetches*2)},
 			Item{"front-l1i-prefetch", pjL1 * float64(st.L1IPrefetches)},
-			Item{"front-shadow-btb", pjShadowBTB * float64(st.ShadowBTBInserts+st.ShadowBTBHits)},
 		)
+	}
+	if p.ShadowBTB {
+		// Shadow-BTB traffic: inserts + backup probes.
+		dyn = append(dyn, Item{"front-shadow-btb", pjShadowBTB * float64(st.ShadowBTBInserts+st.ShadowBTBHits)})
 	}
 
 	area := coreArea(p) + cdfArea(p) + frontArea(p)
@@ -204,7 +212,7 @@ func Compute(p Params, st *stats.Stats) Report {
 	refParams.ROBSize, refParams.RSSize = refROB, refRS
 	refParams.LQSize, refParams.SQSize, refParams.PRFSize = refLQ, refSQ, refPRF
 	refParams.CDFEnabled = false
-	refParams.FrontEnabled = false
+	refParams.FDIP, refParams.ShadowBTB = false, false
 	return Report{
 		Items:       dyn,
 		TotalPJ:     total,

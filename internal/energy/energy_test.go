@@ -150,3 +150,30 @@ func TestScaleHelper(t *testing.T) {
 		t.Fatal("scale direction wrong")
 	}
 }
+
+// TestFrontChargesOnlyBuiltStructures pins that the instruction-supply
+// subsystem prices only the structures a run builds: with the timed L1I on
+// but FDIP and shadow decoding off, the FTQ and shadow-BTB sizes a frontend
+// configuration carries must cost nothing, so energy and area equal the
+// frontend-off machine's for the same statistics.
+func TestFrontChargesOnlyBuiltStructures(t *testing.T) {
+	st := sampleStats()
+	off := baseParams()
+	timing := baseParams()
+	timing.FTQBytes, timing.ShadowBTBBytes = 32*8, 1024*16
+	a, b := Compute(off, st), Compute(timing, st)
+	if a.TotalPJ != b.TotalPJ || a.AreaRel != b.AreaRel {
+		t.Fatalf("timing-only frontend: %.6e pJ area %.6f, want the frontend-off %.6e pJ area %.6f",
+			b.TotalPJ, b.AreaRel, a.TotalPJ, a.AreaRel)
+	}
+
+	fdip, shadow := timing, timing
+	fdip.FDIP = true
+	shadow.ShadowBTB = true
+	for _, p := range []Params{fdip, shadow} {
+		if r := Compute(p, st); r.AreaRel <= a.AreaRel || r.TotalPJ <= a.TotalPJ {
+			t.Fatalf("FDIP=%v ShadowBTB=%v: area %.6f energy %.6e not above the frontend-off machine",
+				p.FDIP, p.ShadowBTB, r.AreaRel, r.TotalPJ)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 // Package profiling wires the standard pprof/runtime-trace collectors into
-// the command-line tools (DESIGN.md §9): every simulator binary accepts
-// -cpuprofile, -memprofile, and -exectrace, so a slow run can be profiled
+// the command-line tools (DESIGN.md §9): cdfsim and cdfexperiments accept
+// -cpuprofile, -memprofile, and -exectrace (declared once in
+// internal/cliflags), so a slow run can be profiled
 // in place with no rebuild. The output files feed `go tool pprof` and
 // `go tool trace` directly.
 package profiling

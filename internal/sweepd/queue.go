@@ -69,8 +69,8 @@ func (sp *JobSpec) normalize() error {
 		sp.Modes = []string{"baseline", "cdf", "pre"}
 	}
 	for _, m := range sp.Modes {
-		if _, err := parseMode(m); err != nil {
-			return err
+		if _, err := cdf.ParseMode(m); err != nil {
+			return fmt.Errorf("sweepd: %w", err)
 		}
 	}
 	if len(sp.Seeds) == 0 {
@@ -93,20 +93,6 @@ func (sp *JobSpec) normalize() error {
 	return nil
 }
 
-func parseMode(name string) (cdf.Mode, error) {
-	switch name {
-	case "baseline":
-		return cdf.ModeBaseline, nil
-	case "cdf":
-		return cdf.ModeCDF, nil
-	case "pre":
-		return cdf.ModePRE, nil
-	case "hybrid":
-		return cdf.ModeHybrid, nil
-	}
-	return 0, fmt.Errorf("sweepd: unknown mode %q (want baseline|cdf|pre|hybrid)", name)
-}
-
 // Case is one expanded (kernel, config, seed) point.
 type Case struct {
 	Bench string
@@ -120,7 +106,7 @@ func (sp JobSpec) cases() []Case {
 	var out []Case
 	for _, b := range sp.Benchmarks {
 		for _, m := range sp.Modes {
-			mode, _ := parseMode(m) // validated by normalize
+			mode, _ := cdf.ParseMode(m) // validated by normalize
 			for _, seed := range sp.Seeds {
 				out = append(out, Case{Bench: b, Opt: sp.options(mode, seed)})
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -401,15 +402,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads a submitted job body: strict JSON (unknown fields are
+// rejected) into a JobSpec, then normalize. A spec it accepts expands only
+// to cases that can run.
+func decodeSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLine))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job spec: " + err.Error()})
-		return
+		return JobSpec{}, fmt.Errorf("bad job spec: %w", err)
 	}
 	if err := spec.normalize(); err != nil {
+		return JobSpec{}, err
+	}
+	return spec, nil
+}
+
+func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, maxLine))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
