@@ -24,10 +24,13 @@ race:
 # A brief native-fuzz run of the core: random programs on random machine
 # modes must complete under the differential oracle and the watchdog with
 # paranoid invariant checks. Then the sweep service's job-spec decoding:
-# any body it accepts must expand only to valid, runnable cases.
+# any body it accepts must expand only to valid, runnable cases. Then the
+# emulator's copy-on-write memory: random write/read/clone sequences over
+# several live clones must match a plain map model of each.
 fuzz-smoke:
 	$(GO) test ./internal/core -run FuzzCore -fuzz FuzzCore -fuzztime 10s
 	$(GO) test ./internal/sweepd -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime 5s
+	$(GO) test ./internal/emu -run FuzzMemory -fuzz FuzzMemory -fuzztime 5s
 
 # A short full-suite sweep with the lockstep differential oracle checking
 # every retired uop against the functional emulator: zero divergences is

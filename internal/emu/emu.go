@@ -61,8 +61,13 @@ func New(p *prog.Program, mem *Memory) *Emulator {
 // Halted reports whether the program has executed its halt uop.
 func (e *Emulator) Halted() bool { return e.halted }
 
-// Clone returns an independent deep copy of the emulator at its current
-// architectural state and position. Sampled simulation clones the
+// Clone returns an independent copy of the emulator at its current
+// architectural state and position. Registers and the call stack are
+// copied; memory is cloned copy-on-write (Memory.Clone), so the cost is
+// O(pages) of written memory, not O(words), and each side copies shared
+// memory a page at a time on its first write to it. Clone writes e's
+// memory (it gives up ownership of the shared pages), so like Step it must
+// not run concurrently with any other use of e. Sampled simulation clones the
 // fast-forwarding master at each checkpoint; the clone seeds the interval
 // core's oracle stream while the master keeps advancing.
 func (e *Emulator) Clone() *Emulator {

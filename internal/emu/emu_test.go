@@ -1,6 +1,9 @@
 package emu
 
 import (
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -445,4 +448,253 @@ func TestStepReusedDynUop(t *testing.T) {
 		fresh = d
 	}
 	_ = fresh
+}
+
+// The copy-on-write tests and FuzzMemory work in a window of four pages
+// whose pages 0-1 and 2-3 lie in different dirs. cowRegion is the
+// procedural region they give their root memory: it covers page 1 and the
+// first half of page 2, so explicit writes overlay it and straddle its
+// edge.
+const (
+	pageBytes   = pageWords * 8
+	cowBase     = 4*dirPages*pageBytes - 2*pageBytes // first byte of the window
+	cowRegionLo = cowBase + pageBytes
+	cowRegionHi = cowBase + 2*pageBytes + pageBytes/2
+)
+
+func cowRegionFn(addr uint64) int64 { return int64(addr) * 3 }
+
+func cowRoot() *Memory {
+	m := NewMemory()
+	m.AddRegion(cowRegionLo, cowRegionHi, cowRegionFn)
+	return m
+}
+
+// memOp is one step of a copy-on-write script over a pool of memories:
+// pool[0] is cowRoot(), and each clone appends pool[from].Clone().
+type memOp struct {
+	kind byte // 'w' write, 'r' read (want v), 'c' clone, 'f' footprint (want v)
+	m    int  // memory the op acts on (the source for 'c')
+	addr uint64
+	v    int64
+}
+
+func wr(m int, addr uint64, v int64) memOp { return memOp{'w', m, addr, v} }
+func rd(m int, addr uint64, v int64) memOp { return memOp{'r', m, addr, v} }
+func cl(from int) memOp                    { return memOp{kind: 'c', m: from} }
+func fp(m int, n int) memOp                { return memOp{kind: 'f', m: m, v: int64(n)} }
+
+// TestMemoryCloneCopyOnWrite pins the copy-on-write boundary: after Clone,
+// writes on either side, to shared pages or new ones, stay private to the
+// writer, whichever side wrote first and however deep the clone chain.
+func TestMemoryCloneCopyOnWrite(t *testing.T) {
+	p0 := uint64(cowBase)               // page 0 of the window: no region
+	p1 := uint64(cowRegionLo)           // page 1: inside the region
+	p2 := uint64(cowBase + 2*pageBytes) // page 2: first page of the next dir
+	p3 := uint64(cowBase + 3*pageBytes) // page 3: untouched before the clone
+	lastOfP0 := p1 - 8
+	cases := []struct {
+		name string
+		ops  []memOp
+	}{
+		{"original write after clone, page the clone read", []memOp{
+			wr(0, p0+8, 1), cl(0), rd(1, p0+8, 1),
+			wr(0, p0+8, 2), wr(0, p0+16, 3),
+			rd(1, p0+8, 1), rd(1, p0+16, 0), rd(0, p0+8, 2), rd(0, p0+16, 3),
+		}},
+		{"original write after clone, page the clone never read", []memOp{
+			wr(0, p0, 1), wr(0, p3+8, 5), cl(0),
+			wr(0, p3+8, 6), wr(0, p3+16, 7),
+			rd(1, p3+8, 5), rd(1, p3+16, 0), rd(1, p0, 1),
+		}},
+		{"original write after clone to a page created after it", []memOp{
+			cl(0), wr(0, p3, 9), rd(1, p3, 0), rd(0, p3, 9),
+		}},
+		{"clone of a clone: three memories written independently", []memOp{
+			wr(0, p0+8, 10), cl(0), wr(1, p0+16, 11), cl(1),
+			wr(0, p0+8, 20), wr(1, p0+8, 21), wr(2, p0+8, 22),
+			wr(2, p0+16, 32), wr(0, p0+24, 40),
+			rd(0, p0+8, 20), rd(1, p0+8, 21), rd(2, p0+8, 22),
+			rd(0, p0+16, 0), rd(1, p0+16, 11), rd(2, p0+16, 32),
+			rd(0, p0+24, 40), rd(1, p0+24, 0), rd(2, p0+24, 0),
+		}},
+		{"footprint after clone-then-write on both sides", []memOp{
+			wr(0, p0, 1), wr(0, p0+8, 2), cl(0), fp(1, 2),
+			wr(0, p0, 3), wr(0, p3, 4), fp(0, 3), fp(1, 2),
+			wr(1, p0+8, 5), wr(1, p0+16, 6), wr(1, p1, 7), fp(1, 4), fp(0, 3),
+		}},
+		{"write over a region survives clone", []memOp{
+			wr(0, p1+64, -1), cl(0),
+			rd(1, p1+64, -1), rd(1, p1+72, cowRegionFn(p1+72)),
+			wr(1, p1+64, -2), rd(0, p1+64, -1), rd(1, p1+64, -2),
+			rd(0, p1+80, cowRegionFn(p1+80)),
+		}},
+		{"last word of one page and first word of the next", []memOp{
+			wr(0, lastOfP0, 1), wr(0, p1, 2), cl(0),
+			wr(1, lastOfP0, 3), wr(0, p1, 4),
+			rd(0, lastOfP0, 1), rd(0, p1, 4), rd(1, lastOfP0, 3), rd(1, p1, 2),
+			rd(0, p1+8, cowRegionFn(p1+8)), fp(0, 2), fp(1, 2),
+		}},
+		{"last word of one dir and first word of the next", []memOp{
+			wr(0, p2-8, 1), wr(0, p2, 2), cl(0), cl(1),
+			wr(1, p2-8, 3), wr(2, p2, 4), wr(0, p2+8, 5),
+			rd(0, p2-8, 1), rd(0, p2, 2), rd(0, p2+8, 5),
+			rd(1, p2-8, 3), rd(1, p2, 2), rd(1, p2+8, cowRegionFn(p2+8)),
+			rd(2, p2-8, 1), rd(2, p2, 4), rd(2, p2+8, cowRegionFn(p2+8)),
+			fp(0, 3), fp(1, 2), fp(2, 2),
+		}},
+		{"unaligned addresses at a page edge", []memOp{
+			wr(0, lastOfP0+7, 1), wr(0, p1+5, 2), cl(0),
+			rd(1, lastOfP0, 1), rd(1, lastOfP0+3, 1), rd(1, p1, 2), rd(1, p1+7, 2),
+			wr(1, p1+1, 3), rd(0, p1+6, 2), rd(1, p1+2, 3), fp(1, 2),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := []*Memory{cowRoot()}
+			for i, op := range tc.ops {
+				m := pool[op.m]
+				switch op.kind {
+				case 'w':
+					m.Write64(op.addr, op.v)
+				case 'r':
+					if got := m.Read64(op.addr); got != op.v {
+						t.Fatalf("op %d: memory %d Read64(%#x) = %d, want %d", i, op.m, op.addr, got, op.v)
+					}
+				case 'c':
+					pool = append(pool, m.Clone())
+				case 'f':
+					if got := m.Footprint(); got != int(op.v) {
+						t.Fatalf("op %d: memory %d Footprint() = %d, want %d", i, op.m, got, op.v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCloneConcurrentUse: once Clone returns, the memory and its clone may
+// be used from different goroutines. They share dirs and pages, so this
+// holds only because neither writes a shared one in place; run under -race.
+func TestCloneConcurrentUse(t *testing.T) {
+	m := cowRoot()
+	for a := uint64(cowBase); a < cowBase+4*pageBytes; a += 16 {
+		m.Write64(a, int64(a))
+	}
+	c := m.Clone()
+	var wg sync.WaitGroup
+	for k, mem := range []*Memory{m, c} {
+		wg.Add(1)
+		go func(k int, mem *Memory) {
+			defer wg.Done()
+			for a := uint64(cowBase); a < cowBase+4*pageBytes; a += 8 {
+				if got := mem.Read64(a); a%16 == 0 && got != int64(a) {
+					t.Errorf("memory %d Read64(%#x) = %d before its own write", k, a, got)
+					return
+				}
+				mem.Write64(a, int64(a)+int64(k+1)<<40)
+			}
+		}(k, mem)
+	}
+	wg.Wait()
+	for k, mem := range []*Memory{m, c} {
+		for a := uint64(cowBase); a < cowBase+4*pageBytes; a += 8 {
+			if got, want := mem.Read64(a), int64(a)+int64(k+1)<<40; got != want {
+				t.Fatalf("memory %d Read64(%#x) = %d, want %d", k, a, got, want)
+			}
+		}
+	}
+}
+
+// FuzzMemory runs random Write64/Read64/Clone/Footprint sequences over a
+// pool of up to four live memories and checks each against a plain map
+// model of that memory. Every op is four bytes: a kind (low two bits) with
+// a byte offset for unaligned addresses (next three bits), a memory
+// selector, and a 16-bit word index into a four-page window whose pages 1
+// and 2 the procedural region partly covers.
+func FuzzMemory(f *testing.F) {
+	op := func(kind, unaligned, mem byte, word uint16) []byte {
+		return []byte{kind | unaligned<<2, mem, byte(word), byte(word >> 8)}
+	}
+	const (
+		w, r, c, n = 0, 1, 2, 3
+	)
+	// Page edge: the last word of page 0 and the first of page 1, written
+	// unaligned, cloned, then rewritten on both sides.
+	f.Add(slices.Concat(
+		op(w, 7, 0, pageWords-1), op(w, 3, 0, pageWords), op(c, 0, 0, 0),
+		op(w, 0, 1, pageWords-1), op(w, 1, 0, pageWords),
+		op(r, 0, 0, pageWords-1), op(r, 5, 1, pageWords), op(n, 0, 0, 0), op(n, 0, 1, 0)))
+	// Clone of a clone: three memories written independently.
+	f.Add(slices.Concat(
+		op(w, 0, 0, 10), op(c, 0, 0, 0), op(w, 0, 1, 11), op(c, 0, 1, 0),
+		op(w, 0, 0, 10), op(w, 0, 1, 10), op(w, 0, 2, 10), op(w, 0, 2, 11),
+		op(r, 0, 0, 10), op(r, 0, 1, 10), op(r, 0, 2, 10), op(r, 0, 0, 11), op(r, 0, 2, 11)))
+	// A page written full across a clone, then overwritten from the clone.
+	var full []byte
+	for i := uint16(0); i < pageWords; i++ {
+		full = append(full, op(w, 0, 0, 2*pageWords+i*5%pageWords)...)
+		if i == 300 {
+			full = append(full, op(c, 0, 0, 0)...)
+		}
+	}
+	f.Add(append(full, op(w, 0, 1, 2*pageWords+7)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pool := []*Memory{cowRoot()}
+		models := []map[uint64]int64{{}}
+		for i := 0; i+4 <= len(data); i += 4 {
+			kind, sel := data[i]&3, int(data[i+1])
+			word := uint64(data[i+2]) | uint64(data[i+3])<<8
+			addr := cowBase + word%(4*pageWords)*8 + uint64(data[i]>>2&7)
+			k := sel % len(pool)
+			m, model := pool[k], models[k]
+			switch kind {
+			case w:
+				v := int64(i)<<8 ^ int64(word)
+				m.Write64(addr, v)
+				model[addr>>3] = v
+			case r:
+				want, ok := model[addr>>3]
+				if !ok && addr&^7 >= cowRegionLo && addr&^7 < cowRegionHi {
+					want = cowRegionFn(addr &^ 7)
+				}
+				if got := m.Read64(addr); got != want {
+					t.Fatalf("op %d: memory %d Read64(%#x) = %d, want %d", i/4, k, addr, got, want)
+				}
+			case c:
+				// Clone into a new slot, or over the slot the selector's
+				// high bits name once the pool is full.
+				cm, cmodel := m.Clone(), maps.Clone(model)
+				if len(pool) < 4 {
+					pool, models = append(pool, cm), append(models, cmodel)
+				} else {
+					d := sel / 4 % 4
+					pool[d], models[d] = cm, cmodel
+				}
+			case n:
+				if got := m.Footprint(); got != len(model) {
+					t.Fatalf("op %d: memory %d Footprint() = %d, want %d", i/4, k, got, len(model))
+				}
+			}
+		}
+		// Every memory still matches its model on every word any of them
+		// wrote: a write that leaked across a clone shows up here.
+		for k, m := range pool {
+			for _, model := range models {
+				for word := range model {
+					want, ok := models[k][word]
+					if a := word << 3; !ok && a >= cowRegionLo && a < cowRegionHi {
+						want = cowRegionFn(a)
+					}
+					if got := m.Read64(word << 3); got != want {
+						t.Fatalf("final: memory %d Read64(%#x) = %d, want %d", k, word<<3, got, want)
+					}
+				}
+			}
+			if m.Footprint() != len(models[k]) {
+				t.Fatalf("final: memory %d Footprint() = %d, want %d", k, m.Footprint(), len(models[k]))
+			}
+		}
+	})
 }

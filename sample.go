@@ -251,8 +251,9 @@ func (s *sampler) beginInterval() {
 	ck.ResetSeq()
 	var ref *emu.Emulator
 	if s.opt.Oracle {
-		// Independent reference machine for the lockstep oracle: its own
-		// memory copy, since the core's stream emulator (ck) runs ahead.
+		// Independent reference machine for the lockstep oracle, since the
+		// core's stream emulator (ck) runs ahead: a copy-on-write clone
+		// whose memory shares ck's pages until either side writes one.
 		ref = ck.Clone()
 	}
 	c, err := core.NewAt(s.icfg, s.prg, ck, s.warmer)
