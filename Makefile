@@ -61,9 +61,9 @@ sample-smoke:
 	scripts/sample_smoke.sh
 
 # Instruction-supply smoke (DESIGN.md §13): one frontend-bound kernel
-# through cdfsim with the frontend off, timing-only, and FDIP+shadow-BTB;
-# the timing path must agree with the legacy blocking path, FDIP must
-# recover IPC, and the frontend statistics must be reported.
+# through cdfsim with the timed L1I alone and with FDIP+shadow-BTB; FDIP
+# must recover IPC, and the frontend statistics must be reported. The
+# timed path's exact statistics are pinned by TestFetchPathGolden.
 front-smoke:
 	scripts/front_smoke.sh
 

@@ -24,7 +24,6 @@ import (
 
 	"cdf/internal/core"
 	"cdf/internal/energy"
-	"cdf/internal/front"
 	"cdf/internal/harness"
 	"cdf/internal/oracle"
 	"cdf/internal/stats"
@@ -122,26 +121,23 @@ type Options struct {
 	// *oracle.DivergenceError carrying both machines' states.
 	Oracle bool
 
-	// Frontend enables the instruction-supply subsystem (internal/front;
-	// DESIGN.md §13): a timed L1I on the fetch path, so instruction misses
-	// stall fetch instead of being free. Off by default — the frontend then
-	// behaves bit-identically to the pre-subsystem simulator.
+	// Deprecated: the timed L1I always runs; ignored.
 	Frontend bool
 
-	// PerfectL1I keeps the timed frontend's accounting but makes every
+	// PerfectL1I keeps the timed L1I's accounting but makes every
 	// instruction fetch hit (the upper bound FDIP recovery is measured
-	// against). Requires Frontend.
+	// against; internal/front, DESIGN.md §13).
 	PerfectL1I bool
 
 	// FDIP adds the decoupled fetch-directed instruction prefetcher: an
 	// FTQ-driven walker runs ahead of fetch and prefetches instruction
-	// lines into the L1I under accuracy-based throttling. Requires
-	// Frontend; incompatible with PerfectL1I.
+	// lines into the L1I under accuracy-based throttling. Incompatible
+	// with PerfectL1I.
 	FDIP bool
 
 	// ShadowBTB adds shadow-branch decoding: branches found in fetched
 	// lines are decoded into a shadow BTB that backs up the main BTB on
-	// target misses and extends the FDIP walker's reach. Requires Frontend.
+	// target misses and extends the FDIP walker's reach.
 	ShadowBTB bool
 
 	// SlowPath runs the reference cycle loop instead of the optimised
@@ -195,9 +191,6 @@ func (o Options) Validate() error {
 	if o.Timeout < 0 {
 		return fmt.Errorf("cdf: negative Timeout %v", o.Timeout)
 	}
-	if !o.Frontend && (o.PerfectL1I || o.FDIP || o.ShadowBTB) {
-		return fmt.Errorf("cdf: PerfectL1I/FDIP/ShadowBTB require Frontend")
-	}
 	if o.FDIP && o.PerfectL1I {
 		return fmt.Errorf("cdf: FDIP is meaningless with PerfectL1I (nothing to prefetch)")
 	}
@@ -232,17 +225,13 @@ func (o Options) CoreConfig() core.Config {
 	if o.CUCKB > 0 {
 		cfg.CDF.CUCLines = o.CUCKB * 1024 / 64
 	}
-	if o.Frontend {
-		fc := front.Default()
-		fc.PerfectL1I = o.PerfectL1I
-		fc.FDIP = o.FDIP
-		fc.ShadowBTB = o.ShadowBTB
-		cfg.Front = fc
-		if o.FDIP {
-			// The prefetcher shares the L1I MSHRs with demand fetch; give
-			// it headroom so prefetches don't starve demand misses.
-			cfg.Mem.L1IMSHRs = 16
-		}
+	cfg.Front.PerfectL1I = o.PerfectL1I
+	cfg.Front.FDIP = o.FDIP
+	cfg.Front.ShadowBTB = o.ShadowBTB
+	if o.FDIP {
+		// The prefetcher shares the L1I MSHRs with demand fetch; give it
+		// headroom so prefetches don't starve demand misses.
+		cfg.Mem.L1IMSHRs = 16
 	}
 	cfg.TrainCriticality = o.TrainCriticality
 	cfg.SlowPath = o.SlowPath
@@ -441,13 +430,12 @@ func energyParams(cfg core.Config) energy.Params {
 		p.FillBufBytes = cfg.CDF.FillBufferSize * 16
 		p.FIFOBytes = cfg.CDF.DBQSize*4 + cfg.CDF.CMQSize*2
 	}
-	if cfg.Front.Enabled {
-		p.FDIP = cfg.Front.FDIP
-		p.FTQBytes = cfg.Front.FTQSize * 8 // one line address per entry
-		p.ShadowBTB = cfg.Front.ShadowBTB
-		// Tag + target per entry, like the main BTB.
-		p.ShadowBTBBytes = cfg.Front.ShadowEntries * 16
-	}
+	// The energy model prices the FTQ and the shadow BTB only when built.
+	p.FDIP = cfg.Front.FDIP
+	p.FTQBytes = cfg.Front.FTQSize * 8 // one line address per entry
+	p.ShadowBTB = cfg.Front.ShadowBTB
+	// Tag + target per entry, like the main BTB.
+	p.ShadowBTBBytes = cfg.Front.ShadowEntries * 16
 	return p
 }
 

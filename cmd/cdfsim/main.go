@@ -68,10 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rob   = fs.Int("rob", 0, "ROB size override (0 = Table 1's 352; other structures scale)")
 		noBr  = fs.Bool("no-critical-branches", false, "disable hard-to-predict branch marking (ablation)")
 
-		frontend   = fs.Bool("frontend", false, "enable the instruction-supply subsystem: timed L1I on the fetch path")
-		perfectL1I = fs.Bool("perfect-l1i", false, "frontend upper bound: every instruction fetch hits (requires -frontend)")
-		fdip       = fs.Bool("fdip", false, "decoupled fetch-directed L1I prefetcher (requires -frontend)")
-		shadowBTB  = fs.Bool("shadow-btb", false, "shadow-branch decoding into a shadow BTB (requires -frontend)")
+		perfectL1I = fs.Bool("perfect-l1i", false, "frontend upper bound: every instruction fetch hits")
+		fdip       = fs.Bool("fdip", false, "decoupled fetch-directed L1I prefetcher")
+		shadowBTB  = fs.Bool("shadow-btb", false, "shadow-branch decoding into a shadow BTB")
 		list       = fs.Bool("list", false, "list benchmarks and exit")
 		prtCfg     = fs.Bool("print-config", false, "print the Table 1 configuration and exit")
 		traceN     = fs.Int("trace", 0, "print the first N pipeline trace events and exit")
@@ -158,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("%v", err)
 	}
 	opt.ROBSize = *rob
-	opt.Frontend, opt.PerfectL1I, opt.FDIP, opt.ShadowBTB = *frontend, *perfectL1I, *fdip, *shadowBTB
+	opt.PerfectL1I, opt.FDIP, opt.ShadowBTB = *perfectL1I, *fdip, *shadowBTB
 	if *noBr {
 		off := false
 		opt.MarkCriticalBranches = &off

@@ -33,7 +33,7 @@ func TestExitCodes(t *testing.T) {
 		{"dump-skip without dump", []string{"-dump-skip", "10k"}, 2},
 		{"chaos without worker", []string{"-bench", "astar", "-uops", "5k", "-chaos", "not-a-spec"}, 2},
 		{"worker-hb without worker", []string{"-worker-hb", "1s"}, 2},
-		{"frontend knob without frontend", []string{"-fdip", "-uops", "5k"}, 1},
+		{"fdip with perfect-l1i", []string{"-fdip", "-perfect-l1i", "-uops", "5k"}, 1},
 		{"unknown benchmark", []string{"-bench", "nope", "-uops", "5k"}, 1},
 		{"disasm of unknown benchmark", []string{"-bench", "nope", "-disasm"}, 1},
 		{"help", []string{"-h"}, 0},
@@ -49,10 +49,10 @@ func TestExitCodes(t *testing.T) {
 
 // TestTraceSimulatesTheRunMachine is the regression test for the traced
 // path dropping options: the core -trace builds must be the machine
-// cdf.Run simulates, warmup and frontend included, and the frontend flags
+// cdf.Run simulates, warmup and frontend knobs included, and -perfect-l1i
 // must change the printed trace.
 func TestTraceSimulatesTheRunMachine(t *testing.T) {
-	opt := cdf.Options{Mode: cdf.ModeCDF, WarmupUops: 10_000, Seed: 7, Frontend: true, PerfectL1I: true}
+	opt := cdf.Options{Mode: cdf.ModeCDF, WarmupUops: 10_000, Seed: 7, PerfectL1I: true}
 	res, err := cdf.Run("server", opt)
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +70,12 @@ func TestTraceSimulatesTheRunMachine(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("trace run: exit %d: %s", code, stderr)
 	}
-	code, fe, stderr := runArgs(append(base, "-frontend", "-perfect-l1i")...)
+	code, fe, stderr := runArgs(append(base, "-perfect-l1i")...)
 	if code != 0 {
-		t.Fatalf("frontend trace run: exit %d: %s", code, stderr)
+		t.Fatalf("perfect-l1i trace run: exit %d: %s", code, stderr)
 	}
 	if plain == fe {
-		t.Fatal("-frontend -perfect-l1i left the pipeline trace unchanged")
+		t.Fatal("-perfect-l1i left the pipeline trace unchanged")
 	}
 }
 

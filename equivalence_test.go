@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cdf/internal/core"
-	"cdf/internal/front"
 	"cdf/internal/oracle"
 	"cdf/internal/workload"
 )
@@ -30,10 +29,8 @@ func TestFastSlowEquivalence(t *testing.T) {
 		// Equivalence here covers the frontend engine's own state in the
 		// idle-skip signature and the FDIP-specific skip bound.
 		{"frontend", true, func(cfg *core.Config) {
-			fc := front.Default()
-			fc.FDIP = true
-			fc.ShadowBTB = true
-			cfg.Front = fc
+			cfg.Front.FDIP = true
+			cfg.Front.ShadowBTB = true
 			cfg.Mem.L1IMSHRs = 16
 		}},
 	}

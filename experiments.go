@@ -486,10 +486,10 @@ var frontVariants = []struct {
 	name string
 	mut  func(*Options)
 }{
-	{"timing", func(o *Options) { o.Frontend = true }},
-	{"fdip", func(o *Options) { o.Frontend, o.FDIP = true, true }},
-	{"shadow", func(o *Options) { o.Frontend, o.FDIP, o.ShadowBTB = true, true, true }},
-	{"perfect", func(o *Options) { o.Frontend, o.PerfectL1I = true, true }},
+	{"timing", func(*Options) {}},
+	{"fdip", func(o *Options) { o.FDIP = true }},
+	{"shadow", func(o *Options) { o.FDIP, o.ShadowBTB = true, true }},
+	{"perfect", func(o *Options) { o.PerfectL1I = true }},
 }
 
 // FrontSupply runs the frontend-bound kernels (workload/front.go) under the

@@ -81,9 +81,9 @@ type Config struct {
 	// Memory system.
 	Mem mem.Config
 
-	// Front configures the instruction-supply subsystem (FDIP, shadow-branch
-	// decoding, perfect-L1I; DESIGN.md §13). The zero value disables it and
-	// leaves the fetch stage bit-identical to the pre-subsystem core.
+	// Front configures the instruction supply behind the timed L1I
+	// (perfect-L1I, FDIP, shadow-branch decoding; DESIGN.md §13). Default
+	// carries front.Default(): a timed L1I with all three off.
 	Front front.Config
 
 	// CDF structures and policies (used by ModeCDF and ModePRE, and by
@@ -152,8 +152,9 @@ func Default() Config {
 		RedirectPenalty: 10,
 		BTBMissPenalty:  3,
 
-		Mem: mem.Default(),
-		CDF: cdf.Default(),
+		Mem:   mem.Default(),
+		Front: front.Default(),
+		CDF:   cdf.Default(),
 
 		TrainCriticality:  false,
 		WrongPathLoadFrac: 0.25,

@@ -68,9 +68,9 @@ type Core struct {
 	haveFetchLine   bool
 	lastAllocSeq    uint64 // youngest correct-path seq allocated
 
-	// Instruction-supply subsystem (nil when cfg.Front.Enabled is false;
-	// see isupply.go). fetchStallReason attributes the current
-	// fetchStallUntil to its cause for the stall-split counters.
+	// Instruction-supply engine (see isupply.go). fetchStallReason
+	// attributes the current fetchStallUntil to its cause for the
+	// stall-split counters.
 	fr               *frontEng
 	fetchStallReason uint8
 
@@ -258,9 +258,7 @@ func NewAt(cfg Config, p *prog.Program, em *emu.Emulator, w *Warmer) (*Core, err
 	c.lastMaskRst = w.lastMaskRst - w.pos
 	c.lastEpochAt = w.lastEpochAt - w.pos
 
-	if cfg.Front.Enabled {
-		c.fr = newFrontEng(cfg, w, c)
-	}
+	c.fr = newFrontEng(cfg, w, c)
 
 	cc := cfg.effectiveCDF()
 	if cfg.Mode == ModeCDF || cfg.Mode == ModeHybrid {

@@ -9,9 +9,7 @@ import (
 // fetch runs both fetch engines for one cycle: the CDF critical fetcher
 // (when in CDF mode) and the regular fetcher.
 func (c *Core) fetch() {
-	if c.fr != nil {
-		c.frontCycle()
-	}
+	c.frontCycle()
 	if c.cdfOn && !c.cdfExitPending {
 		c.critFetch()
 	}
@@ -71,18 +69,8 @@ func (c *Core) regFetch() {
 			if lineAccesses > 2 {
 				break
 			}
-			if c.fr != nil {
-				if c.fetchLineFront(dyn.PC, line) {
-					break
-				}
-			} else {
-				done := c.hier.FetchInst(dyn.PC, c.now)
-				c.lastFetchLine, c.haveFetchLine = line, true
-				if done > c.now+uint64(c.cfg.Mem.L1ILatency) {
-					c.fetchStallUntil = done
-					c.fetchStallReason = stallIMiss
-					break
-				}
+			if c.fetchLine(dyn.PC, line) {
+				break
 			}
 		}
 
@@ -187,7 +175,7 @@ func (c *Core) predictAndCheck(e *entry, rec *streamRec) (mispredicted bool) {
 	}
 	if dyn.Taken {
 		if !pr.TargetHit {
-			if c.fr != nil && c.fr.shadow != nil {
+			if c.fr.shadow != nil {
 				if t, ok := c.fr.shadow.Backup(dyn.PC); ok && t == dyn.NextPC {
 					// A shadow branch decoded from an already-fetched line
 					// supplies the target: no re-steer bubble.

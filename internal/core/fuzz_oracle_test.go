@@ -11,7 +11,6 @@ import (
 
 	"cdf/internal/core"
 	"cdf/internal/emu"
-	"cdf/internal/front"
 	"cdf/internal/oracle"
 	"cdf/internal/prog"
 )
@@ -43,15 +42,16 @@ func FuzzCore(f *testing.F) {
 		cfg.WatchdogCycles = 20_000
 		cfg.ParanoidEvery = 97
 		// High bits of the mode byte exercise the instruction-supply
-		// subsystem: bit 2 enables the timed frontend, bit 3 layers
-		// FDIP + shadow decoding on top.
-		if modeByte&4 != 0 {
-			cfg.Front = front.Default()
-			if modeByte&8 != 0 {
-				cfg.Front.FDIP = true
-				cfg.Front.ShadowBTB = true
-				cfg.Mem.L1IMSHRs = 16
-			}
+		// knobs: bit 3 adds FDIP + shadow decoding, otherwise bit 2 makes
+		// the L1I perfect (the two are exclusive: FDIP has nothing to
+		// prefetch into a perfect L1I).
+		switch {
+		case modeByte&8 != 0:
+			cfg.Front.FDIP = true
+			cfg.Front.ShadowBTB = true
+			cfg.Mem.L1IMSHRs = 16
+		case modeByte&4 != 0:
+			cfg.Front.PerfectL1I = true
 		}
 		c, err := core.New(cfg, p, m)
 		if err != nil {

@@ -3,12 +3,12 @@ package core
 import "cdf/internal/front"
 
 // This file is the core side of the instruction-supply subsystem
-// (internal/front; DESIGN.md §13): the per-core frontend engine that runs
-// the FDIP walker and FTQ issue once per cycle, applies shadow-branch
-// decodes with a one-cycle delay, and attributes fetch stalls to their
-// cause. Everything here is inert when cfg.Front.Enabled is false — the
-// engine is never built, and the fetch stage behaves bit-identically to the
-// pre-subsystem core.
+// (internal/front; DESIGN.md §13): the timed L1I access regular fetch makes
+// for each new line, and the per-core frontend engine that runs the FDIP
+// walker and FTQ issue once per cycle, applies shadow-branch decodes with a
+// one-cycle delay, and attributes fetch stalls to their cause. Every core
+// has an engine; its FDIP and shadow parts exist only when cfg.Front
+// selects them.
 
 // Fetch-stall causes (Core.fetchStallReason). The split counters let
 // reports separate frontend-bound cycles (I-miss, BTB) from the flush
@@ -64,9 +64,6 @@ type frontSig struct {
 
 func (c *Core) frontSigNow() frontSig {
 	var s frontSig
-	if c.fr == nil {
-		return s
-	}
 	if c.fr.fdip != nil {
 		s.fdip = c.fr.fdip.Sig()
 		s.degree = c.fr.thr.Degree()
@@ -82,7 +79,7 @@ func (c *Core) frontSigNow() frontSig {
 // frontCycle runs the decoupled frontend for one cycle: apply last cycle's
 // shadow decodes, account FTQ occupancy, advance the walker, and drain the
 // FTQ into L1I prefetches under the throttle's degree. Called at the start
-// of fetch() when the subsystem is enabled.
+// of fetch().
 func (c *Core) frontCycle() {
 	fr := c.fr
 
@@ -129,18 +126,17 @@ func (c *Core) frontCycle() {
 	}
 }
 
-// fetchLineFront is regFetch's I-cache access for a newly touched line when
-// the subsystem is enabled: it queues the line for shadow decoding, credits
-// FDIP prefetches, and reports whether fetch must stall on an I-miss.
-// PerfectL1I keeps the line-tracking structural accounting but never
-// stalls or touches the hierarchy.
-func (c *Core) fetchLineFront(pc, line uint64) (stall bool) {
+// fetchLine is regFetch's I-cache access for a newly touched line: it
+// queues the line for shadow decoding, credits FDIP prefetches, and reports
+// whether fetch must stall on an I-miss. PerfectL1I keeps the line-tracking
+// structural accounting but never stalls or touches the hierarchy.
+func (c *Core) fetchLine(pc, line uint64) (stall bool) {
 	c.frontNoteLine(line)
 	c.lastFetchLine, c.haveFetchLine = line, true
 	if c.cfg.Front.PerfectL1I {
 		return false
 	}
-	done, useful, late := c.hier.FetchInstFront(pc, c.now)
+	done, useful, late := c.hier.FetchInst(pc, c.now)
 	if useful {
 		c.st.L1IPrefetchUseful++
 		if c.fr.thr != nil {

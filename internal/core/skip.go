@@ -221,7 +221,7 @@ func (c *Core) nextEvent() (uint64, bool) {
 	// the past here (PrefetchInst prunes expired entries when it checks
 	// capacity), but clamp to now anyway so a surprise forces a real cycle
 	// instead of an unsound skip.
-	if c.fr != nil && c.fr.fdip != nil && c.fr.fdip.Len() > 0 {
+	if c.fr.fdip != nil && c.fr.fdip.Len() > 0 {
 		d, ok := c.hier.L1INextPendingReady()
 		if !ok {
 			return 0, false

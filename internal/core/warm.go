@@ -102,11 +102,11 @@ func NewWarmer(cfg Config, p *prog.Program) (*Warmer, error) {
 	w.maskc = cdf.NewMaskCache(cc.MaskEntries, cc.MaskWays)
 	w.cuc = cdf.NewUopCache(cc.CUCLines, cc.CUCWays, cc.CUCLineUops)
 	w.fb = cdf.NewFillBuffer(cc, w.maskc, w.cuc)
-	if cfg.Front.Enabled && cfg.Front.ShadowBTB {
+	if cfg.Front.ShadowBTB {
 		w.frontShadow = front.NewShadowBTB(cfg.Front)
 		w.frontDec = front.NewDecoder(p, cfg.Mem.LineBytes)
 	}
-	if cfg.Front.Enabled && cfg.Front.FDIP {
+	if cfg.Front.FDIP {
 		w.frontThr = front.NewThrottle(cfg.Front)
 	}
 	return w, nil

@@ -152,10 +152,10 @@ func TestScaleHelper(t *testing.T) {
 }
 
 // TestFrontChargesOnlyBuiltStructures pins that the instruction-supply
-// subsystem prices only the structures a run builds: with the timed L1I on
-// but FDIP and shadow decoding off, the FTQ and shadow-BTB sizes a frontend
-// configuration carries must cost nothing, so energy and area equal the
-// frontend-off machine's for the same statistics.
+// subsystem prices only the structures a run builds: with FDIP and shadow
+// decoding off, the FTQ and shadow-BTB sizes a frontend configuration
+// carries must cost nothing, so energy and area equal those of a machine
+// carrying no frontend sizes, for the same statistics.
 func TestFrontChargesOnlyBuiltStructures(t *testing.T) {
 	st := sampleStats()
 	off := baseParams()

@@ -7,22 +7,17 @@
 // The package holds the frontend's own state machines (fetch-target queue,
 // lookahead walker, accuracy throttle, shadow BTB, static line decoder);
 // internal/core owns the clock and drives them once per cycle, and
-// internal/mem owns the instruction-side cache port they feed. With
-// Config.Enabled false (the default) none of this exists and the core's
-// fetch path is bit-identical to the pre-subsystem behavior.
+// internal/mem owns the instruction-side cache port they feed. The timed
+// L1I itself is always on; FDIP and shadow decoding are built only when
+// selected, so with both off the core pays for neither.
 package front
 
 import "fmt"
 
-// Config enables and sizes the instruction-supply subsystem. The zero
-// value disables it entirely. All fields are comparable scalars so Config
-// can ride inside core.Config's struct-equality contracts (warmer
-// compatibility, CaseKey hashing).
+// Config selects and sizes the instruction-supply structures. All fields
+// are comparable scalars so Config can ride inside core.Config's
+// struct-equality contracts (warmer compatibility, CaseKey hashing).
 type Config struct {
-	// Enabled turns the subsystem on. When false every other field is
-	// ignored and the core's fetch stage behaves exactly as before.
-	Enabled bool
-
 	// PerfectL1I makes every instruction fetch hit in zero extra cycles
 	// (the line-tracking structural limit of two distinct lines per cycle
 	// is kept). It is the ideal-instruction-supply upper bound the FDIP
@@ -64,11 +59,10 @@ type Config struct {
 	ShadowEntries, ShadowWays int
 }
 
-// Default returns the standard frontend configuration (enabled, with FDIP
-// and shadow decoding off until selected explicitly).
+// Default returns the standard frontend configuration: a timed L1I, with
+// PerfectL1I, FDIP and shadow decoding off until selected explicitly.
 func Default() Config {
 	return Config{
-		Enabled:          true,
 		FTQSize:          32,
 		LookaheadUops:    512,
 		ScanUops:         16,
@@ -80,11 +74,8 @@ func Default() Config {
 	}
 }
 
-// Validate checks the configuration. A disabled config is always valid.
+// Validate checks the configuration.
 func (c Config) Validate() error {
-	if !c.Enabled {
-		return nil
-	}
 	if c.FDIP && c.PerfectL1I {
 		return fmt.Errorf("front: FDIP is meaningless with PerfectL1I (nothing to prefetch)")
 	}

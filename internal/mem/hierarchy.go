@@ -227,32 +227,16 @@ func (h *Hierarchy) Store(addr, now uint64) AccessResult {
 
 // FetchInst fetches the instruction line containing pc at cycle now. A
 // next-line instruction prefetcher runs ahead of sequential code (standard
-// frontend equipment).
-func (h *Hierarchy) FetchInst(pc, now uint64) uint64 {
+// frontend equipment). It also reports the FDIP credit handshake: whether
+// the demand line hit on a line installed by an instruction prefetch
+// (useful) or merged onto a still-pending one (late). Both marks are
+// consumed, so each prefetch is credited at most once.
+func (h *Hierarchy) FetchInst(pc, now uint64) (done uint64, useful, late bool) {
 	line := h.L1I.LineAddr(pc)
-	done := h.fetchInstLine(line, now)
+	done, useful, late = h.fetchInstLine(line, now)
 	// Next-line prefetch: bring the following lines in behind the demand.
-	for d := uint64(1); d <= 2; d++ {
-		next := line + d
-		if h.L1I.Contains(next) {
-			continue
-		}
-		if _, ok := h.L1I.Pending(next, now); ok {
-			continue
-		}
-		h.fetchInstLine(next, now)
-	}
-	return done
-}
-
-// FetchInstFront is FetchInst plus the FDIP credit handshake: it also
-// reports whether the demand line hit on a line installed by an
-// instruction prefetch (useful) or merged onto a still-pending one (late).
-// Both marks are consumed, so each prefetch is credited at most once. The
-// next-line prefetcher behaves exactly as in FetchInst.
-func (h *Hierarchy) FetchInstFront(pc, now uint64) (done uint64, useful, late bool) {
-	line := h.L1I.LineAddr(pc)
-	done, useful, late = h.fetchInstLineFront(line, now)
+	// Only a line neither resident nor in flight is fetched, so it always
+	// misses and carries no credit.
 	for d := uint64(1); d <= 2; d++ {
 		next := line + d
 		if h.L1I.Contains(next) {
@@ -266,7 +250,7 @@ func (h *Hierarchy) FetchInstFront(pc, now uint64) (done uint64, useful, late bo
 	return done, useful, late
 }
 
-func (h *Hierarchy) fetchInstLineFront(line, now uint64) (done uint64, useful, late bool) {
+func (h *Hierarchy) fetchInstLine(line, now uint64) (done uint64, useful, late bool) {
 	if ready, pref, ok := h.L1I.PendingPref(line, now); ok {
 		return maxU(ready, now+uint64(h.cfg.L1ILatency)), false, pref
 	}
@@ -310,22 +294,6 @@ func (h *Hierarchy) PrefetchInst(line, now uint64) (issued, full bool) {
 // skip's bound when the FTQ is blocked on full MSHRs).
 func (h *Hierarchy) L1INextPendingReady() (uint64, bool) {
 	return h.L1I.NextPendingReady()
-}
-
-func (h *Hierarchy) fetchInstLine(line, now uint64) uint64 {
-	if ready, ok := h.L1I.Pending(line, now); ok {
-		return maxU(ready, now+uint64(h.cfg.L1ILatency))
-	}
-	if hit, _ := h.L1I.Lookup(line); hit {
-		h.St.L1IHits++
-		return now + uint64(h.cfg.L1ILatency)
-	}
-	h.St.L1IMisses++
-	llcAt := now + uint64(h.cfg.L1ILatency)
-	done, _ := h.accessLLC(line, llcAt, true, false)
-	h.L1I.Insert(line, false, false)
-	h.L1I.AddPending(line, done, now)
-	return done
 }
 
 // accessLLC looks up (or fills) line in the LLC at cycle at, returning the

@@ -205,13 +205,49 @@ func TestHierarchyOutstandingMLP(t *testing.T) {
 
 func TestHierarchyInstFetch(t *testing.T) {
 	h := newTestHierarchy()
-	cold := h.FetchInst(0x400000, 0)
+	cold, _, _ := h.FetchInst(0x400000, 0)
 	if cold <= uint64(h.Config().L1ILatency) {
 		t.Fatal("cold I-fetch should be slow")
 	}
-	warm := h.FetchInst(0x400000, cold+1)
+	warm, _, _ := h.FetchInst(0x400000, cold+1)
 	if warm != cold+1+uint64(h.Config().L1ILatency) {
 		t.Fatalf("warm I-fetch latency = %d", warm-cold-1)
+	}
+}
+
+// TestFetchInstPrefetchCredit: a demand fetch credits an FDIP prefetch
+// exactly once: late while the prefetch is in flight, useful once it has
+// filled, and never for a line demand or the next-line prefetcher brought in.
+func TestFetchInstPrefetchCredit(t *testing.T) {
+	type fetch struct {
+		at           uint64
+		useful, late bool
+	}
+	const line = 0x400000 / 64
+	cases := []struct {
+		name    string
+		prefAt  int64 // cycle of the FDIP prefetch, -1 for none
+		fetches []fetch
+	}{
+		{"late then consumed", 0, []fetch{{1, false, true}, {2, false, false}}},
+		{"useful then consumed", 0, []fetch{{10_000, true, false}, {10_001, false, false}}},
+		{"demand miss carries no credit", -1, []fetch{{0, false, false}, {1, false, false}, {10_000, false, false}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newTestHierarchy()
+			if tc.prefAt >= 0 {
+				if issued, full := h.PrefetchInst(line, uint64(tc.prefAt)); !issued || full {
+					t.Fatalf("PrefetchInst = issued %v, full %v", issued, full)
+				}
+			}
+			for i, f := range tc.fetches {
+				_, useful, late := h.FetchInst(line*64, f.at)
+				if useful != f.useful || late != f.late {
+					t.Fatalf("fetch %d at %d: useful %v late %v, want %v %v", i, f.at, useful, late, f.useful, f.late)
+				}
+			}
+		})
 	}
 }
 

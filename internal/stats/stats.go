@@ -34,7 +34,7 @@ type Stats struct {
 	FetchStallIMissCycles    uint64
 	FetchStallBTBCycles      uint64
 	FetchStallRedirectCycles uint64
-	FTQOccupancySum          uint64 // FTQ entries summed over frontend-enabled cycles
+	FTQOccupancySum          uint64 // FTQ entries summed over cycles (FDIP runs only)
 	L1IPrefetches            uint64
 	L1IPrefetchUseful        uint64
 	L1IPrefetchLate          uint64
@@ -232,7 +232,7 @@ func (s *Stats) L1IMPKI() float64 {
 }
 
 // FTQOccupancy returns the average fetch-target-queue occupancy over the
-// run (zero when the frontend subsystem is off).
+// run (zero without FDIP, which is the only FTQ user).
 func (s *Stats) FTQOccupancy() float64 {
 	if s.Cycles == 0 {
 		return 0

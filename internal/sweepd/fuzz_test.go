@@ -22,7 +22,7 @@ func FuzzJobSpec(f *testing.F) {
 		`not json`,
 		`{"max_uops":5000,"warmup_uops":9000}`,
 		`{"warmup_uops":200000}`,
-		`{"modes":["hybrid","pre"],"seeds":[3,9],"frontend":true,"fdip":true,"shadow_btb":true,"timeout_sec":2.5}`,
+		`{"modes":["hybrid","pre"],"seeds":[3,9],"fdip":true,"shadow_btb":true,"timeout_sec":2.5}`,
 		`{"perfect_l1i":true}`,
 		`{"seeds":[0]}`,
 		`{"unknown":1}`,

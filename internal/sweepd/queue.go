@@ -31,12 +31,11 @@ type JobSpec struct {
 	MaxUops uint64 `json:"max_uops,omitempty"`
 	// WarmupUops per run, excluded from statistics.
 	WarmupUops uint64 `json:"warmup_uops,omitempty"`
-	// Frontend enables the instruction-supply subsystem (timed L1I) for
-	// every case; FDIP and ShadowBTB layer the prefetcher and shadow
-	// decoder on top, PerfectL1I is the always-hits upper bound. The
-	// frontend CSV columns (l1i_mpki, ftq occupancy, fetch-stall split)
-	// are zero unless Frontend is set.
-	Frontend   bool `json:"frontend,omitempty"`
+	// PerfectL1I, FDIP and ShadowBTB select the instruction-supply knobs
+	// for every case (cdf.Options): the always-hits L1I upper bound, the
+	// fetch-directed prefetcher, and the shadow-branch decoder. The L1I is
+	// timed on every run, so l1i_mpki and the fetch-stall CSV columns are
+	// always measured; ftq_avg_occupancy is zero without FDIP.
 	PerfectL1I bool `json:"perfect_l1i,omitempty"`
 	FDIP       bool `json:"fdip,omitempty"`
 	ShadowBTB  bool `json:"shadow_btb,omitempty"`
@@ -123,7 +122,6 @@ func (sp JobSpec) options(mode cdf.Mode, seed uint64) cdf.Options {
 		WarmupUops: sp.WarmupUops,
 		Seed:       seed,
 		Timeout:    time.Duration(sp.TimeoutSec * float64(time.Second)),
-		Frontend:   sp.Frontend,
 		PerfectL1I: sp.PerfectL1I,
 		FDIP:       sp.FDIP,
 		ShadowBTB:  sp.ShadowBTB,

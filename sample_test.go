@@ -284,7 +284,7 @@ func TestSampledFrontendEquivalence(t *testing.T) {
 			opt := Options{
 				Mode: ModeBaseline, MaxUops: sampledEquivUops, Seed: 1,
 				WarmupUops: sampledEquivInterval,
-				Frontend:   true, FDIP: true, ShadowBTB: true,
+				FDIP:       true, ShadowBTB: true,
 			}
 			full, err := Run(w.Name, opt)
 			if err != nil {
